@@ -61,20 +61,20 @@ serve-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# Sharded-estimation smoke: boots two estimator workers plus binary-
-# and JSON-codec coordinators on random ports, asserts σ and a full
-# solve are bit-identical to a single-process daemon in both codecs,
-# that the binary codec cuts wire bytes ≥3×, and appends codec-tagged
-# shard throughput to BENCH_shard.json.
+# Sharded-estimation smoke: boots two estimator workers plus a
+# weighted-and-speculating coordinator and a static one on random
+# ports, asserts σ and a full solve are bit-identical to a
+# single-process daemon in both planner modes, and appends shard
+# throughput to BENCH_shard.json.
 shard-smoke:
 	./scripts/shard_smoke.sh
 
 # Elastic-fleet smoke (DESIGN.md §13): a dynamic coordinator plus
 # three self-registering workers survive a kill -9 mid-solve, a
 # SIGTERM graceful drain, and a rejoin — every σ bit-identical to a
-# single-process daemon, zero failed jobs, registration-time codec
-# negotiation asserted, SIGHUP quota reload applied live. Appends a
-# kind:"fleet" record to BENCH_shard.json.
+# single-process daemon, zero failed jobs, registered workers in
+# rotation before any estimate RPC, SIGHUP quota reload applied live.
+# Appends a kind:"fleet" record to BENCH_shard.json.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

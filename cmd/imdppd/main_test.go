@@ -558,7 +558,8 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	}
 
 	// a pool-backed daemon grows the optional "shard" object; pin the
-	// fleet-membership aggregate it carries (DESIGN.md §13)
+	// fleet-membership aggregate it carries (DESIGN.md §13), and that
+	// the one-format wire reports no codec key (DESIGN.md §8)
 	pool := imdpp.NewShardPool(nil, nil)
 	t.Cleanup(pool.Close)
 	pd := newDaemon(imdpp.ServiceConfig{Workers: 1, QueueDepth: 4, CacheSize: 8}, pool)
@@ -570,7 +571,8 @@ func TestDaemonMetricsSchema(t *testing.T) {
 	})
 	var pdoc struct {
 		Shard struct {
-			Fleet map[string]any `json:"fleet"`
+			Fleet map[string]any  `json:"fleet"`
+			Codec json.RawMessage `json:"codec"`
 		} `json:"shard"`
 	}
 	if code := getJSON(t, psrv.URL+"/metrics", &pdoc); code != http.StatusOK {
@@ -581,6 +583,9 @@ func TestDaemonMetricsSchema(t *testing.T) {
 		if _, ok := pdoc.Shard.Fleet[k]; !ok {
 			t.Errorf("shard.fleet missing %q", k)
 		}
+	}
+	if pdoc.Shard.Codec != nil {
+		t.Errorf("shard object still carries a codec key: %s", pdoc.Shard.Codec)
 	}
 }
 
@@ -670,10 +675,10 @@ func mustMarshal(t *testing.T, v any) []byte {
 
 // TestDaemonDynamicFleet walks the elastic-fleet path (DESIGN.md §13)
 // at the daemon level: a coordinator with -shard-dynamic semantics
-// mounts the registration routes, a worker's registrar announces it,
-// negotiation seeds the wire codec without any probe RPC, σ through
-// the registered fleet is bit-identical to local, and a draining
-// worker reports unhealthy before deregistering.
+// mounts the registration routes, a worker's registrar announces it
+// and enters rotation before any estimate RPC, σ through the
+// registered fleet is bit-identical to local, and a draining worker
+// reports unhealthy before deregistering.
 func TestDaemonDynamicFleet(t *testing.T) {
 	wdd := newWorkerDaemon(2, 16, "", nil)
 	wsrv := httptest.NewServer(wdd.handler())
@@ -724,8 +729,8 @@ func TestDaemonDynamicFleet(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// negotiation happened at registration: the remote's codec is
-	// settled before any estimate RPC, no per-request probe needed
+	// registration alone put the remote in rotation, before any
+	// estimate RPC
 	var m struct {
 		Shard *imdpp.ShardPoolStats `json:"shard"`
 	}
@@ -736,8 +741,8 @@ func TestDaemonDynamicFleet(t *testing.T) {
 		t.Fatalf("want 1 remote, got %+v", m.Shard.Remotes)
 	}
 	r := m.Shard.Remotes[0]
-	if !r.Registered || r.State != "alive" || r.Codec != "binary" {
-		t.Fatalf("registration did not negotiate caps: %+v", r)
+	if !r.Registered || r.State != "alive" {
+		t.Fatalf("registered worker not alive: %+v", r)
 	}
 
 	// σ through the dynamically-registered fleet is bit-identical

@@ -320,9 +320,9 @@ type (
 	// ShardWorkerStats is the worker-side counter snapshot.
 	ShardWorkerStats = shard.WorkerStats
 	// ShardWorkerCaps is the capability advertisement a worker sends at
-	// registration — codec version, traced-frame support, capacity hint
-	// — so mixed fleets negotiate once instead of probing per request
-	// (DESIGN.md §13).
+	// registration — frame version and capacity hint; a coordinator
+	// refuses another frame version with a typed incompatible_worker
+	// (DESIGN.md §8, §13).
 	ShardWorkerCaps = shard.WorkerCaps
 	// ShardRegistrar is the worker-side fleet-membership loop:
 	// register, heartbeat, re-register across coordinator restarts,
@@ -355,7 +355,7 @@ var (
 	// (imdppd -worker -register wires it).
 	NewShardRegistrar = shard.NewRegistrar
 	// DefaultShardWorkerCaps advertises this binary's native
-	// capabilities: current codec version, traced frames, GOMAXPROCS.
+	// capabilities: its frame version and GOMAXPROCS.
 	DefaultShardWorkerCaps = shard.DefaultWorkerCaps
 )
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,35 +18,29 @@ import (
 	"imdpp/internal/wirebin"
 )
 
-// Binary wire format of the shard RPC (DESIGN.md §8). Every binary
-// request/response body is one frame:
+// Binary wire format of the shard RPC (DESIGN.md §8), its only wire
+// format. Every problem upload, estimate request and estimate
+// response body is one frame:
 //
 //	magic   [3]byte  "IMB"
-//	version byte     1
+//	version byte     frameVersion
 //	kind    byte     frameProblem | frameEstimateReq | frameEstimateResp
-//	flags   byte     bit 0: payload is DEFLATE-compressed
+//	flags   byte     bit 0: payload is DEFLATE-compressed; bit 1: traced
 //	length  u32 LE   payload byte count (after compression)
 //	payload [length]byte
 //
 // The payload is a wirebin stream (little-endian, length-prefixed
-// slices, tagged compact floats — see internal/wirebin). Frames are
-// self-describing enough to reject version or kind drift with a typed
-// error before any payload decoding; semantic compatibility between
-// coordinator and worker builds is still gated by the content hash,
-// exactly as on the JSON path — a worker whose decoder disagrees with
-// the coordinator's encoder lands on a different hash and the upload
-// fails loudly with hash_mismatch.
-//
-// Negotiation is plain HTTP: a binary-capable coordinator sends
-// Content-Type: application/x-imdpp-shard and advertises the same
-// type in Accept; a binary-capable worker decodes by Content-Type and
-// answers estimate responses binary iff Accept asks. JSON remains the
-// fallback in both directions, so mixed-version fleets degrade to the
-// PR 4 wire format instead of failing (README "Deploying a worker
-// fleet").
+// slices, tagged compact floats — see internal/wirebin). The header is
+// checked before any payload decoding: a frame of another version
+// fails with errFrameVersion, which the worker answers with a typed
+// incompatible_worker refusal — there is no second format to fall
+// back to. Semantic compatibility between coordinator and worker
+// builds is still gated by the content hash: a worker whose decoder
+// disagrees with the coordinator's encoder lands on a different hash
+// and the upload fails loudly with hash_mismatch.
 
-// ContentTypeBinary negotiates the binary shard codec; JSON bodies
-// keep application/json.
+// ContentTypeBinary labels every frame body on the wire. Error bodies
+// and the upload ack are JSON.
 const ContentTypeBinary = "application/x-imdpp-shard"
 
 // Frame kind bytes.
@@ -60,11 +55,7 @@ const (
 	flagDeflate  = 1 << 0
 	// flagTraced marks a frame whose payload ends with trace-context
 	// fields (request: trace + parent span id; response: worker span
-	// records). A pre-tracing decoder ignores the unknown flag, decodes
-	// the base payload and then fails r.Done() on the trailing bytes
-	// with a 400 — which is exactly the negotiation signal the pool's
-	// trace demotion listens for (DESIGN.md §11), mirroring the PR 5
-	// codec fallback.
+	// records, DESIGN.md §11); untraced frames carry neither.
 	flagTraced = 1 << 1
 	// compressMin is the payload size below which DEFLATE is skipped:
 	// tiny frames (estimate requests, acks) gain nothing and would pay
@@ -79,6 +70,12 @@ const (
 )
 
 var frameMagic = [3]byte{'I', 'M', 'B'}
+
+// errFrameVersion reports a frame of another version than this
+// build's frameVersion — a coordinator and worker from incompatible
+// builds. The worker answers it with CodeIncompatibleWorker, and
+// Pool.Register refuses a worker advertising another version.
+var errFrameVersion = errors.New("incompatible shard frame version")
 
 var flateWriters = sync.Pool{New: func() any {
 	// BestSpeed: the wire win over JSON is already structural; flate
@@ -126,15 +123,8 @@ func finishFrame(b []byte, start int) []byte {
 }
 
 // openFrame validates a frame's header and returns its decoded (and,
-// when flagged, decompressed) payload.
-func openFrame(data []byte, wantKind byte) ([]byte, error) {
-	payload, _, err := openFrameFlags(data, wantKind)
-	return payload, err
-}
-
-// openFrameFlags is openFrame plus the frame's flags byte, for
-// decoders whose payload shape depends on a flag (flagTraced).
-func openFrameFlags(data []byte, wantKind byte) ([]byte, byte, error) {
+// when flagged, decompressed) payload plus the flags byte.
+func openFrame(data []byte, wantKind byte) ([]byte, byte, error) {
 	if len(data) < frameHeaderLen {
 		return nil, 0, fmt.Errorf("shard: binary frame truncated at %d bytes", len(data))
 	}
@@ -142,7 +132,7 @@ func openFrameFlags(data []byte, wantKind byte) ([]byte, byte, error) {
 		return nil, 0, fmt.Errorf("shard: bad frame magic %q", data[:3])
 	}
 	if data[3] != frameVersion {
-		return nil, 0, fmt.Errorf("shard: unsupported frame version %d (want %d)", data[3], frameVersion)
+		return nil, 0, fmt.Errorf("shard: %w %d (want %d)", errFrameVersion, data[3], frameVersion)
 	}
 	if data[4] != wantKind {
 		return nil, 0, fmt.Errorf("shard: frame kind %d, want %d", data[4], wantKind)
@@ -196,11 +186,11 @@ func (u ProblemUpload) AppendBinary(b []byte) []byte {
 }
 
 // DecodeProblemUploadBinary reads one binary problem-upload frame. The
-// result is as untrusted as a JSON-decoded one: DecodeProblem performs
-// the same structural validation either way.
+// result is untrusted: DecodeProblem performs the structural
+// validation.
 func DecodeProblemUploadBinary(data []byte) (ProblemUpload, error) {
 	var u ProblemUpload
-	payload, err := openFrame(data, frameProblem)
+	payload, _, err := openFrame(data, frameProblem)
 	if err != nil {
 		return u, err
 	}
@@ -288,8 +278,8 @@ func decodeSeedGroups(r *wirebin.Reader) ([][]diffusion.Seed, error) {
 }
 
 // appendOptInt32s encodes a possibly-nil id list: absence and an empty
-// non-nil list stay distinguishable, matching the JSON contract for
-// masks (nil = all users, empty = all-false).
+// non-nil list stay distinguishable, as the mask contract requires
+// (nil = all users, empty = all-false).
 func appendOptInt32s(b []byte, vs []int32) []byte {
 	if vs == nil {
 		return wirebin.AppendBool(b, false)
@@ -350,7 +340,7 @@ func (req *EstimateRequest) AppendBinary(b []byte) ([]byte, error) {
 // DecodeEstimateRequestBinary reads one binary estimate-request frame.
 func DecodeEstimateRequestBinary(data []byte) (EstimateRequest, error) {
 	var req EstimateRequest
-	payload, flags, err := openFrameFlags(data, frameEstimateReq)
+	payload, flags, err := openFrame(data, frameEstimateReq)
 	if err != nil {
 		return req, err
 	}
@@ -454,11 +444,10 @@ func decodeSpanRecs(r *wirebin.Reader) []obs.SpanRec {
 }
 
 // DecodeEstimateResponseBinary reads one binary estimate-response
-// frame. The coordinator's validateSamples still runs on the result,
-// exactly as on the JSON path.
+// frame. The coordinator's validateSamples still runs on the result.
 func DecodeEstimateResponseBinary(data []byte) (EstimateResponse, error) {
 	var resp EstimateResponse
-	payload, flags, err := openFrameFlags(data, frameEstimateResp)
+	payload, flags, err := openFrame(data, frameEstimateResp)
 	if err != nil {
 		return resp, err
 	}

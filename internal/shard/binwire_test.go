@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -48,9 +49,9 @@ func TestProblemUploadBinaryRoundTrip(t *testing.T) {
 		diffusion.NewEstimator(fromBin, 8, 5).RunBatchPi(groups, nil))
 }
 
-// TestProblemUploadBinarySmaller quantifies the wire win on a real
-// problem: the binary frame must be well under half the JSON bytes
-// (the smoke asserts the full-RPC ≥3× bound end to end).
+// TestProblemUploadBinarySmaller quantifies the frame's size on a real
+// problem: it must be well under half the bytes of the upload's JSON
+// image.
 func TestProblemUploadBinarySmaller(t *testing.T) {
 	u := EncodeProblem(sampleProblem(t, 120, 3))
 	jsonBytes, err := json.Marshal(u)
@@ -159,7 +160,8 @@ func TestFrameCompression(t *testing.T) {
 
 // TestFrameRejectsDrift pins the typed failures: wrong magic, wrong
 // version, wrong kind, truncation, and length-field lies all error
-// before any payload decoding.
+// before any payload decoding, and only the version mismatch reports
+// errFrameVersion.
 func TestFrameRejectsDrift(t *testing.T) {
 	good := (&EstimateResponse{Samples: [][]diffusion.SampleResult{{}}}).AppendBinary(nil)
 	mutations := map[string]func([]byte) []byte{
@@ -172,8 +174,13 @@ func TestFrameRejectsDrift(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		b := mutate(append([]byte(nil), good...))
-		if _, err := DecodeEstimateResponseBinary(b); err == nil {
+		_, err := DecodeEstimateResponseBinary(b)
+		if err == nil {
 			t.Fatalf("%s mutation decoded without error", name)
+		}
+		// only a version mismatch is the typed incompatible-build error
+		if is := errors.Is(err, errFrameVersion); is != (name == "version") {
+			t.Fatalf("%s mutation: errors.Is(err, errFrameVersion) = %v: %v", name, is, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,7 +113,10 @@ func TestChaosKillMidSolve(t *testing.T) {
 // TestChaosDrainMidSolve SIGTERMs (BeginDrain) a worker while a solve
 // is running: in-flight shards finish, new dispatches get the typed
 // draining rejection, the coordinator re-plans without a strike, and σ
-// is bit-identical.
+// is bit-identical. The drain begins inside the victim's handler, right
+// after its first served shard and before that response reaches the
+// coordinator, so every later dispatch to it meets the drain — however
+// fast the solve runs.
 func TestChaosDrainMidSolve(t *testing.T) {
 	leakCheck(t)
 	p := sampleProblem(t, 100, 2)
@@ -122,24 +126,34 @@ func TestChaosDrainMidSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, workers, _ := newFleet(t, 3)
+	const victimIdx = 2
+	var drainOnce sync.Once
+	drained := make(chan (<-chan struct{}), 1)
+	pool, _, _ := newWrappedFleet(t, 3, func(i int, w *Worker, h http.Handler) http.Handler {
+		if i != victimIdx {
+			return h
+		}
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(rw, r)
+			if r.URL.Path == PathEstimate && w.Stats().ShardsServed >= 1 {
+				drainOnce.Do(func() { drained <- w.BeginDrain() })
+			}
+		})
+	})
 	pool.SetWeighted(false)
-	victim := workers[2]
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		waitUntil(t, "victim traffic", func() bool { return victim.Stats().ShardsServed >= 1 })
-		drained := victim.BeginDrain()
+	opt.Backend = Backend(pool)
+	got, err := core.Solve(p, opt)
+	select {
+	case ch := <-drained:
 		select {
-		case <-drained:
+		case <-ch:
 		case <-time.After(10 * time.Second):
 			t.Error("drain never completed")
 		}
-	}()
-	opt.Backend = Backend(pool)
-	got, err := core.Solve(p, opt)
-	<-done
+	case <-time.After(10 * time.Second):
+		t.Error("victim never served a shard, so the drain never began")
+	}
 	if err != nil {
 		t.Fatalf("solve surfaced the drain: %v", err)
 	}

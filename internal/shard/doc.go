@@ -20,6 +20,11 @@
 //     content-addressed problem upload (a problem ships once and is
 //     referenced by its service.HashProblem key thereafter) and the
 //     estimate RPC computing one shard's raw per-sample outcomes.
+//   - The wire: one binary frame format (binwire.go, DESIGN.md §8)
+//     with a version byte. A worker refuses a frame of another
+//     version, and a coordinator refuses a registration advertising
+//     one, both with the typed incompatible_worker code; there is no
+//     second format to fall back to.
 //   - Pool: the coordinator-side worker registry — health checks,
 //     per-shard retry, failover re-dispatch and local fallback.
 //   - Estimator: a core.Estimator backend that fans batches out over

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -67,14 +68,13 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// TestRegisterNegotiatesCaps pins the tentpole's negotiation claim: a
-// registered worker's codec and trace modes are settled by its
-// advertisement, so the first RPC already runs the final codec — no
-// per-request fallback probe, no demotion round-trip.
+// TestRegisterNegotiatesCaps pins registration with this build's
+// advertisement: the worker enters rotation and carries a real
+// workload bit-identically, and a re-registration (a restarted
+// worker) forgets the acknowledged uploads.
 func TestRegisterNegotiatesCaps(t *testing.T) {
 	leakCheck(t)
-	pool, _, servers := newFleet(t, 0) // empty static list
-	_ = servers
+	pool, _, _ := newFleet(t, 0) // empty static list
 
 	w := NewWorker(WorkerConfig{Workers: 2})
 	mux := http.NewServeMux()
@@ -82,22 +82,13 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	// a current-build advertisement settles binary + traced immediately
 	if err := pool.Register(srv.URL, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
-	rs := pool.healthyRemotes()
-	if len(rs) != 1 {
+	if rs := pool.healthyRemotes(); len(rs) != 1 {
 		t.Fatalf("registered worker not in rotation: %d remotes", len(rs))
 	}
-	if got := rs[0].binMode.Load(); got != codecBinaryOK {
-		t.Fatalf("registered remote binMode %d, want codecBinaryOK", got)
-	}
-	if got := rs[0].traceMode.Load(); got != traceSupported {
-		t.Fatalf("registered remote traceMode %d, want traceSupported", got)
-	}
 
-	// the settled codec carries a real workload bit-identically
 	p := sampleProblem(t, 120, 3)
 	groups := groupsFor(p)
 	const m, seed = 9, 33
@@ -105,51 +96,113 @@ func TestRegisterNegotiatesCaps(t *testing.T) {
 	est := NewEstimator(pool, p, m, seed, 2)
 	requireSameEstimates(t, "registered worker", want, est.RunBatch(groups, nil))
 
-	// a legacy advertisement pins JSON/untraced up front
-	if err := pool.Register(srv.URL, WorkerCaps{CodecVersion: 0, TracedFrames: false}); err != nil {
+	if err := pool.Register(srv.URL, DefaultWorkerCaps()); err != nil {
 		t.Fatal(err)
 	}
 	r := pool.healthyRemotes()[0]
-	if got := r.binMode.Load(); got != codecJSONOnly {
-		t.Fatalf("legacy registration binMode %d, want codecJSONOnly", got)
-	}
-	if got := r.traceMode.Load(); got != traceUnsupported {
-		t.Fatalf("legacy registration traceMode %d, want traceUnsupported", got)
-	}
 	// re-registration forgot the acknowledged uploads (fresh process)
 	if r.knowsProblem(service.HashProblem(p)) {
 		t.Fatal("re-registration kept the stale upload acknowledgement")
 	}
-	requireSameEstimates(t, "legacy re-registration", want, est.RunBatch(groups, nil))
+	requireSameEstimates(t, "re-registration", want, est.RunBatch(groups, nil))
 
 	st := pool.Snapshot()
 	if st.Fleet.Registered != 1 || st.LocalFallbacks != 0 {
 		t.Fatalf("fleet stats after registration: %+v", st.Fleet)
 	}
-	if st.Remotes[0].Codec != "json" || !st.Remotes[0].Registered {
-		t.Fatalf("remote stats %+v want registered json remote", st.Remotes[0])
+	if !st.Remotes[0].Registered {
+		t.Fatalf("remote stats %+v want a registered remote", st.Remotes[0])
+	}
+}
+
+// TestRegisterRefusesIncompatibleVersion pins the registration gate: a
+// worker advertising another frame version is refused — typed
+// errFrameVersion in process, 409 incompatible_worker over HTTP — and
+// never joins the registry.
+func TestRegisterRefusesIncompatibleVersion(t *testing.T) {
+	leakCheck(t)
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	caps := WorkerCaps{CodecVersion: frameVersion + 1, Capacity: 1}
+	if err := pool.Register("http://10.9.9.9:1234", caps); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("Register(version %d) = %v, want errFrameVersion", caps.CodecVersion, err)
+	}
+	if n := pool.Size(); n != 0 {
+		t.Fatalf("refused worker joined the registry: size %d", n)
+	}
+
+	mux := http.NewServeMux()
+	pool.MountRegistry(mux)
+	coord := httptest.NewServer(mux)
+	t.Cleanup(coord.Close)
+	body, _ := json.Marshal(RegisterRequest{URL: "http://10.9.9.9:1234", Caps: caps})
+	resp, err := http.Post(coord.URL+PathRegister, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || eb.Code != CodeIncompatibleWorker {
+		t.Fatalf("register over HTTP: status %d code %q, want 409 %q", resp.StatusCode, eb.Code, CodeIncompatibleWorker)
+	}
+	if n := pool.Size(); n != 0 {
+		t.Fatalf("refused worker joined the registry over HTTP: size %d", n)
+	}
+}
+
+// TestRegistrarStopsWhenRefused points a registrar advertising another
+// frame version at a live coordinator: the 409 incompatible_worker
+// ends its loop (no backoff-forever), and it never registers.
+func TestRegistrarStopsWhenRefused(t *testing.T) {
+	leakCheck(t)
+	pool := NewPool(nil, nil)
+	t.Cleanup(pool.Close)
+	mux := http.NewServeMux()
+	pool.MountRegistry(mux)
+	coord := httptest.NewServer(mux)
+	t.Cleanup(coord.Close)
+
+	reg, err := NewRegistrar(RegistrarConfig{
+		Coordinator: coord.URL,
+		SelfURL:     "http://127.0.0.1:19998",
+		Caps:        WorkerCaps{CodecVersion: frameVersion + 1, Capacity: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Start()
+	t.Cleanup(reg.Stop)
+	select {
+	case <-reg.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registrar kept looping after an incompatible_worker refusal")
+	}
+	if reg.Registered() || pool.Size() != 0 {
+		t.Fatalf("refused registrar registered=%v, pool size %d", reg.Registered(), pool.Size())
 	}
 }
 
 func TestRegisterValidatesAndBounds(t *testing.T) {
 	pool := NewPool(nil, nil)
 	defer pool.Close()
+	caps := DefaultWorkerCaps()
 	for _, bad := range []string{"", "not-a-url", "ftp://x", "http://"} {
-		if err := pool.Register(bad, WorkerCaps{}); err == nil {
+		if err := pool.Register(bad, caps); err == nil {
 			t.Fatalf("Register(%q) accepted a bad URL", bad)
 		}
 	}
 	// the registry is bounded: one past maxRemotes distinct URLs fails
 	for i := 0; i < maxRemotes; i++ {
-		if err := pool.Register(fmt.Sprintf("http://10.0.0.1:%d", 1000+i), WorkerCaps{}); err != nil {
+		if err := pool.Register(fmt.Sprintf("http://10.0.0.1:%d", 1000+i), caps); err != nil {
 			t.Fatalf("registration %d rejected below the bound: %v", i, err)
 		}
 	}
-	if err := pool.Register("http://10.0.0.1:9", WorkerCaps{}); err == nil {
+	if err := pool.Register("http://10.0.0.1:9", caps); err == nil {
 		t.Fatal("registration past the bound accepted")
 	}
 	// re-registering an existing URL still works at the bound
-	if err := pool.Register("http://10.0.0.1:1000", WorkerCaps{}); err != nil {
+	if err := pool.Register("http://10.0.0.1:1000", caps); err != nil {
 		t.Fatalf("re-registration at the bound rejected: %v", err)
 	}
 }
@@ -333,16 +386,10 @@ func TestWorkerDrain(t *testing.T) {
 	}
 
 	// new dispatches are rejected with the typed code...
-	body, _ := json.Marshal(&EstimateRequest{Problem: service.HashProblem(p).String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}})
-	resp, err := http.Post(servers[0].URL+PathEstimate, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb ErrorBody
-	json.NewDecoder(resp.Body).Decode(&eb)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != CodeDraining {
-		t.Fatalf("dispatch to draining worker: status %d code %q, want 503 %q", resp.StatusCode, eb.Code, CodeDraining)
+	frame := mustFrame(t, &EstimateRequest{Problem: service.HashProblem(p).String(), Lo: 0, Hi: 1, Groups: [][]diffusion.Seed{{}}})
+	status, eb := postFrame(t, servers[0].URL+PathEstimate, frame)
+	if status != http.StatusServiceUnavailable || eb.Code != CodeDraining {
+		t.Fatalf("dispatch to draining worker: status %d code %q, want 503 %q", status, eb.Code, CodeDraining)
 	}
 
 	// ...and the coordinator absorbs that as drain, not failure: the

@@ -22,7 +22,8 @@ import (
 // answered with unknown_worker — the signature of a restarted
 // coordinator — triggers immediate re-registration, so a bounced
 // coordinator re-learns its fleet within one beat without operator
-// action.
+// action. A registration refused with incompatible_worker ends the
+// loop: no retry can make two frame versions agree.
 type Registrar struct {
 	coordinator string // coordinator base URL
 	self        string // this worker's advertised base URL
@@ -120,6 +121,12 @@ func (g *Registrar) loop() {
 	for {
 		if !g.registered.Load() {
 			d, err := g.register()
+			var se *shardError
+			if errors.As(err, &se) && se.code == CodeIncompatibleWorker {
+				g.logger.Error("shard register refused: coordinator speaks another frame version",
+					"coordinator", g.coordinator, "err", err)
+				return
+			}
 			if err != nil {
 				delay := registerBackoffBase << min(fails, 10)
 				if delay > registerBackoffCap {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -23,16 +24,13 @@ import (
 const maxRemotes = 256
 
 // WorkerCaps is a worker's capability advertisement, sent once at
-// registration. It settles the codec and trace negotiation up front:
-// a registered worker never pays the per-request fallback probe that
-// static-list workers of unknown build vintage go through.
+// registration.
 type WorkerCaps struct {
-	// CodecVersion is the highest binary frame version the worker
-	// decodes (0 = JSON only); at least the coordinator's frameVersion
-	// pins the remote to the binary codec immediately.
+	// CodecVersion is the binary frame version the worker speaks
+	// (DESIGN.md §8). Register refuses any other version than the
+	// coordinator's own with a typed incompatible_worker, so a worker
+	// from an incompatible build never enters rotation.
 	CodecVersion int `json:"codec_version"`
-	// TracedFrames reports flagTraced support (DESIGN.md §11).
-	TracedFrames bool `json:"traced_frames"`
 	// Capacity is a concurrency hint (typically GOMAXPROCS), surfaced
 	// in /metrics for operators; the throughput-weighted planner still
 	// sizes ranges by measured EWMA, not by this claim.
@@ -43,7 +41,6 @@ type WorkerCaps struct {
 func DefaultWorkerCaps() WorkerCaps {
 	return WorkerCaps{
 		CodecVersion: frameVersion,
-		TracedFrames: true,
 		Capacity:     runtime.GOMAXPROCS(0),
 	}
 }
@@ -87,15 +84,20 @@ func normalizeWorkerURL(raw string) (string, error) {
 
 // Register adds (or re-animates) the worker at rawURL. Registration is
 // idempotent and doubles as crash recovery: a worker that restarts
-// re-registers under the same URL, which resets its lifecycle state,
-// forgets its acknowledged uploads (the new process holds none — the
-// unknown_problem path would also heal this, lazily), and re-seeds the
-// codec/trace negotiation from caps, so no RPC to a registered worker
-// ever needs the mixed-version fallback probe.
+// re-registers under the same URL, which resets its lifecycle state
+// and forgets its acknowledged uploads (the new process holds none —
+// the unknown_problem path would also heal this, lazily). A worker
+// advertising another frame version than this build's is refused with
+// an error wrapping errFrameVersion and is not added.
 func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 	u, err := normalizeWorkerURL(rawURL)
 	if err != nil {
 		return err
+	}
+	if caps.CodecVersion != frameVersion {
+		p.logger.Error("shard worker refused: it speaks another frame version", "worker", u,
+			"codec_version", caps.CodecVersion, "want", frameVersion)
+		return fmt.Errorf("shard: worker %s: %w %d (coordinator speaks %d)", u, errFrameVersion, caps.CodecVersion, frameVersion)
 	}
 	p.mu.Lock()
 	var r *Remote
@@ -130,22 +132,11 @@ func (p *Pool) Register(rawURL string, caps WorkerCaps) error {
 	r.problems = make(map[service.Key]bool)
 	r.mu.Unlock()
 
-	// settle the wire negotiation from the advertisement
-	if caps.CodecVersion >= frameVersion {
-		r.binMode.Store(codecBinaryOK)
-	} else {
-		r.binMode.Store(codecJSONOnly)
-	}
-	if caps.TracedFrames {
-		r.traceMode.Store(traceSupported)
-	} else {
-		r.traceMode.Store(traceUnsupported)
-	}
 	if rejoined {
 		p.rejoins.Add(1)
 	}
 	p.logger.Info("shard worker registered", "worker", u,
-		"codec_version", caps.CodecVersion, "capacity", caps.Capacity, "rejoined", rejoined)
+		"capacity", caps.Capacity, "rejoined", rejoined)
 	return nil
 }
 
@@ -214,7 +205,9 @@ func (p *Pool) Deregister(rawURL string) {
 	p.logger.Info("shard worker deregistered", "worker", u)
 }
 
-// HandleRegister is the POST /v1/shard/register handler.
+// HandleRegister is the POST /v1/shard/register handler. A frame
+// version mismatch answers 409 incompatible_worker, which stops the
+// worker's registrar instead of sending it into backoff.
 func (p *Pool) HandleRegister(rw http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<16)).Decode(&req); err != nil {
@@ -222,6 +215,10 @@ func (p *Pool) HandleRegister(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := p.Register(req.URL, req.Caps); err != nil {
+		if errors.Is(err, errFrameVersion) {
+			writeShardError(rw, http.StatusConflict, CodeIncompatibleWorker, err)
+			return
+		}
 		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -208,21 +207,20 @@ func readRequestBody(r *http.Request) (*bytes.Buffer, error) {
 	return buf, nil
 }
 
-// wantsBinary reports whether the request negotiated the binary codec
-// for its body (Content-Type) or its response (Accept).
-func wantsBinary(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		if isBinaryContentType(part) {
-			return true
-		}
+// writeDecodeError answers a body that did not decode as a frame: a
+// frame of another version is the typed incompatible_worker refusal,
+// anything else a bad_request.
+func writeDecodeError(rw http.ResponseWriter, what string, err error) {
+	code := CodeBadRequest
+	if errors.Is(err, errFrameVersion) {
+		code = CodeIncompatibleWorker
 	}
-	return false
+	writeShardError(rw, http.StatusBadRequest, code, fmt.Errorf("bad %s: %w", what, err))
 }
 
-// handleUpload decodes a problem image (binary frame or JSON, by
-// Content-Type), verifies its content address by recomputation, and
-// stores it under that key. The ack is always JSON — it is a few
-// dozen bytes either way.
+// handleUpload decodes a problem upload frame, verifies its content
+// address by recomputation, and stores it under that key. The ack is
+// JSON — a few dozen bytes.
 func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	if !w.beginRequest() {
 		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
@@ -231,18 +229,13 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	defer w.endRequest()
 	body, err := readRequestBody(r)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad problem upload: %w", err))
+		writeDecodeError(rw, "problem upload", err)
 		return
 	}
-	var u ProblemUpload
-	if wantsBinary(r.Header.Get("Content-Type")) {
-		u, err = DecodeProblemUploadBinary(body.Bytes())
-	} else {
-		err = json.Unmarshal(body.Bytes(), &u)
-	}
+	u, err := DecodeProblemUploadBinary(body.Bytes())
 	putBuf(body)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad problem upload: %w", err))
+		writeDecodeError(rw, "problem upload", err)
 		return
 	}
 	p, err := DecodeProblem(u)
@@ -269,10 +262,10 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleEstimate simulates samples [Lo,Hi) of every group and returns
-// their raw outcomes — binary-framed when the Accept header asks for
-// it, JSON otherwise. The estimator is bound to the request context,
-// so a coordinator abandoning the request (cancellation, failover
-// timeout) preempts the simulation within about one campaign.
+// their raw outcomes as one frame. The estimator is bound to the
+// request context, so a coordinator abandoning the request
+// (cancellation, failover timeout) preempts the simulation within
+// about one campaign.
 func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	if !w.beginRequest() {
 		writeShardError(rw, http.StatusServiceUnavailable, CodeDraining, errDraining)
@@ -281,18 +274,13 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	defer w.endRequest()
 	body, err := readRequestBody(r)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
+		writeDecodeError(rw, "estimate request", err)
 		return
 	}
-	var req EstimateRequest
-	if wantsBinary(r.Header.Get("Content-Type")) {
-		req, err = DecodeEstimateRequestBinary(body.Bytes())
-	} else {
-		err = json.Unmarshal(body.Bytes(), &req)
-	}
+	req, err := DecodeEstimateRequestBinary(body.Bytes())
 	putBuf(body)
 	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad estimate request: %w", err))
+		writeDecodeError(rw, "estimate request", err)
 		return
 	}
 	key, err := service.ParseKey(req.Problem)
@@ -377,16 +365,12 @@ func (w *Worker) handleEstimate(rw http.ResponseWriter, r *http.Request) {
 	w.shardsServed.Add(1)
 	w.samplesDone.Add(uint64(len(req.Groups) * (req.Hi - req.Lo)))
 	resp := EstimateResponse{Samples: samples, Spans: wspan.EndCollect()}
-	if wantsBinary(r.Header.Get("Accept")) {
-		scratch := getScratch()
-		out := resp.AppendBinary((*scratch)[:0])
-		rw.Header().Set("Content-Type", ContentTypeBinary)
-		rw.WriteHeader(http.StatusOK)
-		_, _ = rw.Write(out)
-		putScratch(scratch, out)
-		return
-	}
-	writeShardJSON(rw, http.StatusOK, resp)
+	scratch := getScratch()
+	out := resp.AppendBinary((*scratch)[:0])
+	rw.Header().Set("Content-Type", ContentTypeBinary)
+	rw.WriteHeader(http.StatusOK)
+	_, _ = rw.Write(out)
+	putScratch(scratch, out)
 }
 
 // errDraining is the body of every typed draining rejection.

@@ -4,10 +4,9 @@
 # failures the elastic-membership layer exists for — a kill -9
 # mid-solve, a SIGTERM graceful drain mid-solve, and a rejoin of the
 # killed worker — asserting every solve stays bit-identical to a plain
-# single-process daemon with zero failed jobs. Registration-time
-# capability negotiation is asserted directly: each registered remote
-# reports the binary codec BEFORE the coordinator has sent it a single
-# estimate RPC (no per-request fallback probe). A SIGHUP re-reads the
+# single-process daemon with zero failed jobs. Registration alone puts
+# a worker in rotation: each remote is registered and alive BEFORE the
+# coordinator has sent it a single estimate RPC. A SIGHUP re-reads the
 # -tenant-quotas @file and swaps the scheduler quota table without
 # dropping queued jobs. Appends a kind:"fleet" record to
 # BENCH_shard.json.
@@ -19,12 +18,15 @@ WORKDIR=$(mktemp -d)
 BIN="$WORKDIR/imdppd"
 go build -o "$BIN" ./cmd/imdppd
 
-PIDS=()
+# boot runs in a subshell (command or process substitution), so it
+# records each daemon's pid in a file the exit trap reads back — a
+# shell array appended there would never reach this shell
 cleanup() {
-    for pid in "${PIDS[@]}"; do
-        kill -9 "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
+    if [ -f "$WORKDIR/pids" ]; then
+        while read -r pid; do
+            kill -9 "$pid" 2>/dev/null || true
+        done <"$WORKDIR/pids"
+    fi
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
@@ -36,7 +38,7 @@ boot() {
     shift
     "$BIN" "$@" >"$log" 2>&1 &
     local pid=$!
-    PIDS+=($pid)
+    echo "$pid" >>"$WORKDIR/pids"
     local addr=""
     for _ in $(seq 1 100); do
         addr=$(sed -n 's#^imdppd listening on ##p' "$log")
@@ -78,15 +80,14 @@ echo "coordinator at $COORD; workers at $W1 $W2 $W3; local reference at $LOCAL"
 
 wait_jq "$COORD/metrics" '.shard.fleet.registered == 3' "3 workers registered"
 
-# --- negotiation happened at registration, not per request ----------
-# zero estimate RPCs have been sent, yet every remote's codec is
-# already settled to binary and its state alive: the capability
-# advertisement replaced the old first-RPC fallback probe
+# --- registration alone puts a worker in rotation --------------------
+# zero estimate RPCs have been sent, yet every remote is registered and
+# alive: the frame version was checked once, at the door
 curl -sf "$COORD/metrics" | jq -e '
     (.shard.remotes | length) == 3
-    and all(.shard.remotes[]; .registered and .state == "alive" and .codec == "binary")' >/dev/null ||
-    { echo "registration did not pre-negotiate caps" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
-echo "negotiation OK: 3 remotes alive with binary codec before any estimate RPC"
+    and all(.shard.remotes[]; .registered and .state == "alive")' >/dev/null ||
+    { echo "registered workers not in rotation" >&2; curl -s "$COORD/metrics" >&2; exit 1; }
+echo "registration OK: 3 remotes registered and alive before any estimate RPC"
 
 # solve_req <seed>: distinct seeds keep each solve out of the result
 # cache — every churn scenario must do real fleet work, not replay a
